@@ -101,45 +101,34 @@ void fnv1a_mix(std::uint64_t& h, const std::vector<double>& v) {
 
 CellResult run_cell(const Workload& w, const CellSpec& s) {
   core::Deployment d(make_config(w, s));
+  const core::RunSummary summary = d.run(w.rounds);
   CellResult out;
   out.spec = s;
   out.fingerprint = 14695981039346656037ull;
-  sim::TimeNs first_start = 0;
+  double latency = 0;
   double error_sq = 0;
   std::uint64_t raw = 0;
   std::uint64_t encoded = 0;
-  auto tally = [&](const core::RoundMetrics& m, const std::vector<double>& update) {
-    if (m.iter == 0) first_start = m.round_start;
+  for (std::size_t r = 0; r < summary.rounds.size(); ++r) {
+    const core::RoundMetrics& m = summary.rounds[r];
     if (m.global_update_complete) ++out.complete_rounds;
     out.last_done = std::max(out.last_done, m.round_done);
+    latency += sim::to_seconds(m.round_done - m.round_start);
     raw += m.codec.raw_bytes;
     encoded += m.codec.encoded_bytes;
     error_sq += m.codec.error_sq;
-    fnv1a_mix(out.fingerprint, update);
-  };
-  if (s.async) {
-    const core::RunSummary summary = d.run(w.rounds);
-    for (std::size_t r = 0; r < summary.rounds.size(); ++r) {
-      tally(summary.rounds[r], summary.updates[r]);
-    }
-    // Launch-to-last-model wall clock, averaged: the cadence plus the tail.
-    out.round_seconds = sim::to_seconds(out.last_done - first_start) / w.rounds;
-  } else {
-    // The sync driver exposes the decoded aggregate per round instead of a
-    // summary vector; collect it round by round. Its round_seconds is the
-    // mean in-round latency (round_done - round_start), NOT the sequential
-    // wall clock between rounds — the engine drains latent retry timers to
-    // quiescence between sync rounds, and gating the speedup against that
-    // drain would flatter async. This is the conservative baseline: async
-    // must beat even the barrier'd protocol's pure round latency.
-    double latency = 0;
-    for (int r = 0; r < w.rounds; ++r) {
-      const core::RoundMetrics m = d.run_round(static_cast<std::uint32_t>(r));
-      tally(m, d.last_global_update());
-      latency += sim::to_seconds(m.round_done - m.round_start);
-    }
-    out.round_seconds = latency / w.rounds;
+    fnv1a_mix(out.fingerprint, summary.updates[r]);
   }
+  // Async: launch-to-last-model wall clock, averaged — the cadence plus the
+  // tail. Sync: the mean in-round latency (round_done - round_start), NOT
+  // the sequential wall clock between rounds — the engine drains latent
+  // retry timers to quiescence between sync rounds, and gating the speedup
+  // against that drain would flatter async. This is the conservative
+  // baseline: async must beat even the barrier'd protocol's pure round
+  // latency.
+  const sim::TimeNs first_start = summary.rounds.front().round_start;
+  out.round_seconds = s.async ? sim::to_seconds(out.last_done - first_start) / w.rounds
+                              : latency / w.rounds;
   out.compression = encoded > 0 ? static_cast<double>(raw) / static_cast<double>(encoded) : 1.0;
   out.error_norm = std::sqrt(error_sq);
   return out;

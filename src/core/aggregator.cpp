@@ -18,8 +18,6 @@ namespace {
 /// Payload::average divides by the exact factor sum — no floating-point in
 /// the accumulation domain.
 constexpr std::int64_t kAsyncWeightOne = 256;
-/// How many prior iterations the staleness cover looks back through.
-constexpr std::uint32_t kStaleDepth = 2;
 
 std::int64_t stale_factor(std::uint32_t staleness, double alpha) {
   const double f = static_cast<double>(kAsyncWeightOne) /

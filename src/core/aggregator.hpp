@@ -19,6 +19,11 @@
 
 namespace dfl::core {
 
+/// How many prior iterations an async aggregator's staleness cover looks
+/// back through. The round driver keeps that many iterations of directory
+/// rows behind each async round it closes.
+inline constexpr std::uint32_t kStaleDepth = 2;
+
 class Aggregator {
  public:
   /// `global_id` indexes metrics.aggregators and names this participant in

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <optional>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -126,6 +128,63 @@ void publish_round_metrics(const RoundMetrics& m) {
     record_ms("dfl.round.duration_ms", sim::to_seconds(m.round_done - m.round_start));
   }
   reg.histogram("dfl.round.wall_ms").record(m.datapath.wall_ns / 1000000);
+}
+
+/// Host-side counters at a round boundary: a round is charged the deltas
+/// between the boundary before it and the one that closes it.
+struct Boundary {
+  crypto::EngineStats crypto;
+  sim::FaultStats faults;
+  sim::DataPathStats datapath;
+  std::uint64_t events = 0;
+  std::chrono::steady_clock::time_point wall;
+};
+
+Boundary snapshot(const sim::Simulator& sim, const sim::FaultInjector* fault,
+                  const crypto::Engine* engine) {
+  return Boundary{engine != nullptr ? engine->stats() : crypto::EngineStats{},
+                  fault != nullptr ? fault->stats() : sim::FaultStats{}, sim::datapath_stats(),
+                  sim.events_processed(), std::chrono::steady_clock::now()};
+}
+
+void fill_critical_path(CriticalPathRecord& cp, const obs::RoundCriticalPath& rcp) {
+  auto ns = [&rcp](obs::Blame b) {
+    return rcp.blame_ns[static_cast<std::size_t>(b)];
+  };
+  cp.analyzed = true;
+  cp.total_ns = rcp.total_ns();
+  cp.train_ns = ns(obs::Blame::kTrain);
+  cp.crypto_ns = ns(obs::Blame::kCrypto);
+  cp.wire_ns = ns(obs::Blame::kWire);
+  cp.queue_ns = ns(obs::Blame::kQueueWait);
+  cp.stale_ns = ns(obs::Blame::kStaleWait);
+  cp.merge_ns = ns(obs::Blame::kMerge);
+  cp.segments = rcp.segments.size();
+  cp.dominant_host = rcp.dominant_host();
+  cp.dominant_host_ns = rcp.dominant_host_ns();
+  cp.dominant_category = obs::blame_name(rcp.dominant_blame());
+}
+
+/// Fills each round's critical_path from one analysis of the trace so far
+/// (tracing runs only); the per-host "round" spans' iter attributes slice
+/// the DAG into round frames, so interleaved async rounds separate too.
+/// Re-analyzing the full snapshot per sync round is O(rounds × spans) over
+/// a run, but the trace itself is capped (span limit / transfer ring) and
+/// rounds that aged out of it simply don't match — acceptable for the
+/// smoke scales tracing targets.
+void attach_critical_paths(sim::Network& net, std::deque<RoundMetrics>& rounds) {
+  if (!obs::enabled()) return;
+  name_host_tracks(net);
+  const obs::Analysis analysis =
+      obs::analyze_critical_paths(obs::Tracer::instance().snapshot(), wire_slices(net));
+  for (RoundMetrics& m : rounds) {
+    for (const obs::RoundCriticalPath& rcp : analysis.rounds) {
+      if (rcp.iter == m.iter) {
+        fill_critical_path(m.critical_path, rcp);
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -417,12 +476,58 @@ Deployment::~Deployment() {
   obs::Registry::global().unregister_collector("sharding");
 }
 
+struct Deployment::Flight {
+  explicit Flight(bool async_rounds) : async(async_rounds) {}
+  const bool async;
+  /// Behind stable addresses: every actor coroutine holds a reference to
+  /// its round's record until the flight's tail has drained.
+  std::deque<RoundMetrics> rounds;
+  /// Counters at the previous round boundary (see charge()).
+  Boundary mark;
+  /// The umbrella span every actor's per-host "round" span parents under
+  /// via ctx_->round_span: "round" for a sync round, "async_run" for an
+  /// async run, whose rounds coexist in time.
+  std::optional<sim::ScopedSpan> span;
+};
+
 RoundMetrics Deployment::run_round(std::uint32_t iter) {
-  RoundMetrics metrics;
-  metrics.iter = iter;
-  metrics.round_start = sim_->now();
-  metrics.trainers.resize(trainers_.size());
-  metrics.aggregators.resize(aggregators_.size());
+  RunSummary summary;
+  run_flight(iter, 1, /*async=*/false, nullptr, summary);
+  return std::move(summary.rounds.front());
+}
+
+RunSummary Deployment::run(int rounds, const ml::Dataset* eval) {
+  RunSummary summary;
+  // Rounds in flight at once: a sync round runs to quiescence before the
+  // next launches; async launches every round up front.
+  const bool async = config_.options.async_rounds;
+  const int in_flight = async ? rounds : 1;
+  for (int first = 0; first < rounds; first += in_flight) {
+    run_flight(static_cast<std::uint32_t>(first),
+               static_cast<std::uint32_t>(std::min(in_flight, rounds - first)), async, eval,
+               summary);
+  }
+  return summary;
+}
+
+void Deployment::run_flight(std::uint32_t first, std::uint32_t count, bool async,
+                            const ml::Dataset* eval, RunSummary& summary) {
+  Flight f(async);
+  launch(f, first, count);
+  for (RoundMetrics& m : f.rounds) {
+    // A sync round runs to quiescence: every actor either finished or
+    // timed out by t_sync. An async round closes at its deadline while
+    // later rounds keep training and uploading; rounds launched after it
+    // train on its update one or more rounds stale, async FL's contract.
+    drive_until(async ? m.round_start + boot_->spec().schedule.t_sync
+                      : sim::Simulator::kNoEvent,
+                m.sharding);
+    close(f, m, eval, summary);
+  }
+  report(f, summary);
+}
+
+void Deployment::launch(Flight& f, std::uint32_t first, std::uint32_t count) {
   // A backend flip since the last probe (test override, DFL_NO_SIMD in a
   // forked child) would leave the modeled commit delay priced by code
   // that no longer runs; re-ground it before the round starts.
@@ -430,85 +535,123 @@ RoundMetrics Deployment::run_round(std::uint32_t iter) {
     calibration_ = engine_->calibrate(0);
     boot_->spec().options.commit_ns_per_element = calibration_.ns_per_element;
   }
-  const crypto::EngineStats crypto_before =
-      engine_ ? engine_->stats() : crypto::EngineStats{};
-  const sim::FaultStats faults_before = fault_ ? fault_->stats() : sim::FaultStats{};
-  const sim::DataPathStats dp_before = sim::datapath_stats();
-
-  // Scenario mode: arm one round's worth of chaos and provider republish
-  // sweeps. Cursors are monotonic, so both calls are cheap no-ops for
-  // already-covered spans and for legacy fully-armed plans.
-  const sim::TimeNs round_horizon = metrics.round_start + boot_->spec().schedule.t_sync;
-  if (fault_ != nullptr && incremental_chaos_) fault_->arm_until(round_horizon);
-  swarm_->republish_until(round_horizon);
-  const std::uint64_t events_before = sim_->events_processed();
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  // The round umbrella span lives on the process track; every actor's
-  // per-host "round" span parents under it via ctx_->round_span.
-  sim::ScopedSpan round_span(*sim_, "round", obs::kProcessTrack);
-  round_span.attr("iter", static_cast<std::int64_t>(iter));
-  ctx_->round_span = round_span.id();
-
-  for (auto& t : trainers_) {
-    sim_->spawn(t->run_round(iter, metrics.round_start, metrics));
+  const Schedule& sched = boot_->spec().schedule;
+  const sim::TimeNs t0 = sim_->now();
+  sim::TimeNs period = 0;
+  if (f.async) {
+    period = config_.options.async_period > 0 ? config_.options.async_period : sched.t_train;
   }
-  for (auto& a : aggregators_) {
-    sim_->spawn(a->run_round(iter, metrics.round_start, metrics));
+  f.mark = snapshot(*sim_, fault_.get(), engine_.get());
+
+  // Scenario mode: arm chaos and provider republish sweeps through the
+  // last round's deadline. Cursors are monotonic, so both calls are cheap
+  // no-ops for already-covered spans and for legacy fully-armed plans.
+  // Sync arms before its actors spawn and async after: the order decides
+  // which of two events tied at one instant runs first.
+  const sim::TimeNs horizon = t0 + static_cast<sim::TimeNs>(count - 1) * period + sched.t_sync;
+  auto arm = [&] {
+    if (fault_ != nullptr && incremental_chaos_) fault_->arm_until(horizon);
+    swarm_->republish_until(horizon);
+  };
+  if (!f.async) arm();
+
+  if (f.async) {
+    f.span.emplace(*sim_, "async_run", obs::kProcessTrack);
+    f.span->attr("rounds", static_cast<std::int64_t>(count));
+    f.span->attr("period_ms", static_cast<std::int64_t>(period / 1000000));
+  } else {
+    f.span.emplace(*sim_, "round", obs::kProcessTrack);
+    f.span->attr("iter", static_cast<std::int64_t>(first));
   }
+  ctx_->round_span = f.span->id();
+
+  // Round r launches at t0 + r * period: with async, round r trains while
+  // round r-1 uploads and aggregates — the barrier-free overlap.
+  for (std::uint32_t i = 0; i < count; ++i) {
+    RoundMetrics& m = f.rounds.emplace_back();
+    m.iter = first + i;
+    m.round_start = t0 + static_cast<sim::TimeNs>(i) * period;
+    m.trainers.resize(trainers_.size());
+    m.aggregators.resize(aggregators_.size());
+    for (auto& t : trainers_) sim_->spawn(t->run_round(m.iter, m.round_start, m));
+    for (auto& a : aggregators_) sim_->spawn(a->run_round(m.iter, m.round_start, m));
+  }
+  if (f.async) arm();
   if (shards_ > 1) {
-    // Chaos armed this round may have tightened the jitter floor; re-derive
+    // Chaos armed this flight may have tightened the jitter floor; re-derive
     // the window width (enable_window_buckets re-buckets only on change).
     lookahead_ = derive_lookahead();
     sim_->enable_window_buckets(lookahead_);
   }
-  // Run to quiescence: every actor either finished or timed out by t_sync.
-  // drive_until(kNoEvent) is the serial run() at K = 1 and the sequenced
-  // window driver at K > 1, interleaving metrics samples when enabled.
-  drive_until(sim::Simulator::kNoEvent, metrics.sharding);
-  ctx_->round_span = 0;
-  round_span.close();
+}
 
-  metrics.datapath.stats = sim::datapath_stats().since(dp_before);
-  metrics.datapath.sim_events = sim_->events_processed() - events_before;
-  metrics.datapath.wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
-
-  sim::TimeNs done = -1;
-  for (const TrainerRecord& t : metrics.trainers) {
-    done = std::max(done, t.model_ready_at);
+void Deployment::close(Flight& f, RoundMetrics& m, const ml::Dataset* eval,
+                       RunSummary& summary) {
+  // A sync round's stats stop at quiescence, before the measurement read
+  // below; an async round's run up to its close, the last one's through
+  // the flight's tail.
+  if (!f.async) charge(f, m);
+  m.partitions_total = boot_->spec().num_partitions();
+  m.partitions_complete = collect_global_update(m.iter);
+  m.global_update_complete = !last_global_update_.empty();
+  if (m.global_update_complete) source_->apply_global_update(last_global_update_, m.iter);
+  summary.updates.push_back(last_global_update_);
+  if (auto* ml_source = dynamic_cast<MlGradientSource*>(source_.get());
+      ml_source != nullptr && eval != nullptr) {
+    m.post_round_accuracy = ml_source->model().accuracy(*eval);
+    m.post_round_loss = ml_source->model().loss(*eval);
+    summary.accuracy.push_back(m.post_round_accuracy);
+    summary.loss.push_back(m.post_round_loss);
   }
-  metrics.round_done = done;
+  // Bound directory state like a real deployment would (Section VI). Sync
+  // aggregators read only the current iteration; async ones cover
+  // stragglers from up to kStaleDepth iterations back.
+  const std::uint32_t lag = f.async ? kStaleDepth : 0;
+  if (m.iter >= lag) boot_->directory().gc_before(m.iter - lag);
+  if (f.async) {
+    // The tail: the last round's downloads run past its t_sync grace.
+    if (&m == &f.rounds.back()) drive_until(sim::Simulator::kNoEvent, m.sharding);
+    charge(f, m);
+  }
+}
 
+void Deployment::charge(Flight& f, RoundMetrics& m) {
+  const Boundary now = snapshot(*sim_, fault_.get(), engine_.get());
+  m.datapath.stats = now.datapath.since(f.mark.datapath);
+  m.datapath.sim_events = now.events - f.mark.events;
+  m.datapath.wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now.wall - f.mark.wall).count());
+  if (fault_) m.faults = now.faults.since(f.mark.faults);
   if (engine_) {
-    const crypto::EngineStats after = engine_->stats();
-    metrics.crypto.commits = after.commits - crypto_before.commits;
-    metrics.crypto.verifies = after.verifies - crypto_before.verifies;
-    metrics.crypto.batch_verifies = after.batch_verifies - crypto_before.batch_verifies;
-    metrics.crypto.committed_elements =
-        after.committed_elements - crypto_before.committed_elements;
-    metrics.crypto.commit_wall_ns = after.commit_wall_ns - crypto_before.commit_wall_ns;
-    metrics.crypto.verify_wall_ns = after.verify_wall_ns - crypto_before.verify_wall_ns;
-    metrics.crypto.threads = engine_->threads();
-    metrics.crypto.calibrated_ns_per_element = calibration_.ns_per_element;
-    metrics.crypto.parallel_speedup = calibration_.parallel_speedup;
-    metrics.crypto.backend = crypto::backend_name(after.backend);
-    metrics.crypto.isa = after.isa;
+    const crypto::EngineStats& after = now.crypto;
+    const crypto::EngineStats& before = f.mark.crypto;
+    m.crypto.commits = after.commits - before.commits;
+    m.crypto.verifies = after.verifies - before.verifies;
+    m.crypto.batch_verifies = after.batch_verifies - before.batch_verifies;
+    m.crypto.committed_elements = after.committed_elements - before.committed_elements;
+    m.crypto.commit_wall_ns = after.commit_wall_ns - before.commit_wall_ns;
+    m.crypto.verify_wall_ns = after.verify_wall_ns - before.verify_wall_ns;
+    m.crypto.threads = engine_->threads();
+    m.crypto.calibrated_ns_per_element = calibration_.ns_per_element;
+    m.crypto.parallel_speedup = calibration_.parallel_speedup;
+    m.crypto.backend = crypto::backend_name(after.backend);
+    m.crypto.isa = after.isa;
   }
+  f.mark = now;
+}
 
-  metrics.partitions_total = boot_->spec().num_partitions();
-  metrics.partitions_complete = collect_global_update(iter);
-  metrics.global_update_complete = !last_global_update_.empty();
-  if (fault_) metrics.faults = fault_->stats().since(faults_before);
-  if (!last_global_update_.empty()) {
-    source_->apply_global_update(last_global_update_, iter);
+void Deployment::report(Flight& f, RunSummary& summary) {
+  ctx_->round_span = 0;
+  f.span->close();
+  attach_critical_paths(*net_, f.rounds);
+  for (RoundMetrics& m : f.rounds) {
+    for (const TrainerRecord& t : m.trainers) {
+      m.round_done = std::max(m.round_done, t.model_ready_at);
+    }
+    if (slo_) m.slo_breaches = slo_->on_round(m, sim_->now());
+    publish_round_metrics(m);
+    summary.rounds.push_back(std::move(m));
   }
-  attach_critical_path(metrics);
-  if (slo_) metrics.slo_breaches = slo_->on_round(metrics, sim_->now());
-  publish_round_metrics(metrics);
-  return metrics;
 }
 
 sim::TimeNs Deployment::derive_lookahead() const {
@@ -640,181 +783,6 @@ void Deployment::enable_metrics_sampling(obs::TimeSeriesWriter& writer,
 std::vector<SloBreach> Deployment::finalize_slos() {
   if (!slo_) return {};
   return slo_->finalize(sim_->now());
-}
-
-void Deployment::fill_critical_path(RoundMetrics& m, const obs::RoundCriticalPath& rcp) {
-  CriticalPathRecord& cp = m.critical_path;
-  auto ns = [&rcp](obs::Blame b) {
-    return rcp.blame_ns[static_cast<std::size_t>(b)];
-  };
-  cp.analyzed = true;
-  cp.total_ns = rcp.total_ns();
-  cp.train_ns = ns(obs::Blame::kTrain);
-  cp.crypto_ns = ns(obs::Blame::kCrypto);
-  cp.wire_ns = ns(obs::Blame::kWire);
-  cp.queue_ns = ns(obs::Blame::kQueueWait);
-  cp.stale_ns = ns(obs::Blame::kStaleWait);
-  cp.merge_ns = ns(obs::Blame::kMerge);
-  cp.segments = rcp.segments.size();
-  cp.dominant_host = rcp.dominant_host();
-  cp.dominant_host_ns = rcp.dominant_host_ns();
-  cp.dominant_category = obs::blame_name(rcp.dominant_blame());
-}
-
-void Deployment::attach_critical_path(RoundMetrics& m) {
-  if (!obs::enabled()) return;
-  // Re-analyzing the full snapshot each round is O(rounds × spans) over a
-  // run, but the trace itself is capped (span limit / transfer ring) and
-  // rounds that aged out of it simply don't match — acceptable for the
-  // smoke scales tracing targets.
-  name_host_tracks(*net_);
-  const obs::Analysis analysis =
-      obs::analyze_critical_paths(obs::Tracer::instance().snapshot(), wire_slices(*net_));
-  for (const obs::RoundCriticalPath& rcp : analysis.rounds) {
-    if (rcp.iter == m.iter) {
-      fill_critical_path(m, rcp);
-      break;
-    }
-  }
-}
-
-RunSummary Deployment::run_async(int rounds, const ml::Dataset* eval) {
-  RunSummary summary;
-  if (rounds <= 0) return summary;
-  auto* ml_source = dynamic_cast<MlGradientSource*>(source_.get());
-  const Schedule& sched = boot_->spec().schedule;
-  const sim::TimeNs period =
-      config_.options.async_period > 0 ? config_.options.async_period : sched.t_train;
-  const sim::TimeNs t0 = sim_->now();
-
-  // Per-round metrics behind stable addresses: every actor coroutine holds
-  // a reference to its round's record for the whole overlapped run.
-  std::vector<std::unique_ptr<RoundMetrics>> rms;
-  rms.reserve(static_cast<std::size_t>(rounds));
-
-  const sim::FaultStats faults_before = fault_ ? fault_->stats() : sim::FaultStats{};
-  const sim::DataPathStats dp_before = sim::datapath_stats();
-  const std::uint64_t events_before = sim_->events_processed();
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  if (shards_ > 1) {
-    lookahead_ = derive_lookahead();
-    sim_->enable_window_buckets(lookahead_);
-  }
-
-  // One umbrella span for the whole overlapped run: rounds coexist in
-  // time, so a per-round ctx_->round_span would race. Actor round spans
-  // carry their iter as an attribute.
-  sim::ScopedSpan run_span(*sim_, "async_run", obs::kProcessTrack);
-  run_span.attr("rounds", static_cast<std::int64_t>(rounds));
-  run_span.attr("period_ms", static_cast<std::int64_t>(period / 1000000));
-  ctx_->round_span = run_span.id();
-
-  // Launch every round up front on the fixed cadence: round r trains while
-  // round r-1 uploads and aggregates — the barrier-free overlap.
-  for (int r = 0; r < rounds; ++r) {
-    auto m = std::make_unique<RoundMetrics>();
-    m->iter = static_cast<std::uint32_t>(r);
-    m->round_start = t0 + static_cast<sim::TimeNs>(r) * period;
-    m->trainers.resize(trainers_.size());
-    m->aggregators.resize(aggregators_.size());
-    for (auto& t : trainers_) sim_->spawn(t->run_round(m->iter, m->round_start, *m));
-    for (auto& a : aggregators_) sim_->spawn(a->run_round(m->iter, m->round_start, *m));
-    rms.push_back(std::move(m));
-  }
-
-  // Chaos and provider-republish cover the whole overlapped horizon.
-  const sim::TimeNs horizon =
-      t0 + static_cast<sim::TimeNs>(rounds - 1) * period + sched.t_sync;
-  if (fault_ != nullptr && incremental_chaos_) fault_->arm_until(horizon);
-  swarm_->republish_until(horizon);
-
-  // Drive in round-deadline segments: each boundary collects round r's
-  // global update and applies it, so rounds launched later train on it —
-  // one or more rounds stale, which is exactly async FL's contract.
-  for (int r = 0; r < rounds; ++r) {
-    RoundMetrics& m = *rms[static_cast<std::size_t>(r)];
-    drive_until(m.round_start + sched.t_sync, m.sharding);
-    m.partitions_total = boot_->spec().num_partitions();
-    m.partitions_complete = collect_global_update(m.iter);
-    m.global_update_complete = !last_global_update_.empty();
-    if (!last_global_update_.empty()) {
-      source_->apply_global_update(last_global_update_, m.iter);
-    }
-    summary.updates.push_back(last_global_update_);
-    if (ml_source != nullptr && eval != nullptr) {
-      m.post_round_accuracy = ml_source->model().accuracy(*eval);
-      m.post_round_loss = ml_source->model().loss(*eval);
-      summary.accuracy.push_back(m.post_round_accuracy);
-      summary.loss.push_back(m.post_round_loss);
-    }
-    // GC lags the staleness window: aggregators read gradients up to two
-    // iterations back when covering stragglers.
-    if (r >= 3) boot_->directory().gc_before(static_cast<std::uint32_t>(r - 2));
-  }
-  // Drain the tail: the last round's downloads run past its t_sync grace.
-  drive_until(sim::Simulator::kNoEvent, rms.back()->sharding);
-  ctx_->round_span = 0;
-  run_span.close();
-
-  // One analysis over the whole overlapped trace: async rounds interleave,
-  // so per-round snapshots would re-walk the same spans; the per-host
-  // "round" spans' iter attributes slice the DAG into round frames.
-  obs::Analysis analysis;
-  if (obs::enabled()) {
-    name_host_tracks(*net_);
-    analysis = obs::analyze_critical_paths(obs::Tracer::instance().snapshot(),
-                                           wire_slices(*net_));
-  }
-
-  // Wall clock and engine throughput are properties of the overlapped run;
-  // split them evenly across rounds for per-round reporting. The datapath
-  // stats and fault deltas (not divisible) land on round 0.
-  const std::uint64_t total_events = sim_->events_processed() - events_before;
-  const auto total_wall = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           wall_start)
-          .count());
-  const auto n = static_cast<std::uint64_t>(rounds);
-  rms.front()->datapath.stats = sim::datapath_stats().since(dp_before);
-  if (fault_) rms.front()->faults = fault_->stats().since(faults_before);
-  for (auto& mp : rms) {
-    RoundMetrics& m = *mp;
-    m.datapath.sim_events = total_events / n;
-    m.datapath.wall_ns = total_wall / n;
-    sim::TimeNs done = -1;
-    for (const TrainerRecord& t : m.trainers) done = std::max(done, t.model_ready_at);
-    m.round_done = done;
-    for (const obs::RoundCriticalPath& rcp : analysis.rounds) {
-      if (rcp.iter == m.iter) {
-        fill_critical_path(m, rcp);
-        break;
-      }
-    }
-    if (slo_) m.slo_breaches = slo_->on_round(m, sim_->now());
-    publish_round_metrics(m);
-    summary.rounds.push_back(std::move(m));
-  }
-  return summary;
-}
-
-RunSummary Deployment::run(int rounds, const ml::Dataset* eval) {
-  if (config_.options.async_rounds) return run_async(rounds, eval);
-  RunSummary summary;
-  auto* ml_source = dynamic_cast<MlGradientSource*>(source_.get());
-  for (int r = 0; r < rounds; ++r) {
-    RoundMetrics m = run_round(static_cast<std::uint32_t>(r));
-    if (ml_source != nullptr && eval != nullptr) {
-      m.post_round_accuracy = ml_source->model().accuracy(*eval);
-      m.post_round_loss = ml_source->model().loss(*eval);
-      summary.accuracy.push_back(m.post_round_accuracy);
-      summary.loss.push_back(m.post_round_loss);
-    }
-    summary.rounds.push_back(std::move(m));
-    // Bound directory state like a real deployment would (Section VI).
-    boot_->directory().gc_before(static_cast<std::uint32_t>(r));
-  }
-  return summary;
 }
 
 }  // namespace dfl::core

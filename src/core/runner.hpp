@@ -7,8 +7,8 @@
 //   core::DeploymentConfig cfg;
 //   cfg.num_trainers = 16; ...
 //   core::Deployment d(cfg);
-//   auto rounds = d.run(5);
-//   std::cout << rounds[0].mean_aggregation_delay_s();
+//   const core::RunSummary summary = d.run(5);
+//   std::cout << summary.rounds[0].mean_aggregation_delay_s();
 #pragma once
 
 #include <map>
@@ -26,7 +26,6 @@
 
 namespace dfl::obs {
 class TimeSeriesWriter;
-struct RoundCriticalPath;
 }  // namespace dfl::obs
 
 namespace dfl::core {
@@ -107,9 +106,8 @@ struct RunSummary {
   /// Accuracy after each round (ML source only; empty otherwise).
   std::vector<double> accuracy;
   std::vector<double> loss;
-  /// Per-round decoded global updates (async driver only; the sync path
-  /// exposes last_global_update() after each run_round instead). An empty
-  /// entry marks a round whose global update was incomplete.
+  /// Per-round decoded global updates. An empty entry marks a round whose
+  /// global update was incomplete.
   std::vector<std::vector<double>> updates;
 };
 
@@ -123,11 +121,14 @@ class Deployment {
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;
 
-  /// Runs one FL iteration to quiescence and returns its metrics.
+  /// Runs one FL iteration to quiescence and returns its metrics: one sync
+  /// round in flight, whatever options.async_rounds says.
   RoundMetrics run_round(std::uint32_t iter);
 
   /// Runs `rounds` iterations; evaluates on `eval` after each when given.
-  /// Dispatches to the barrier-free driver when options.async_rounds is on.
+  /// Sync rounds run one at a time; with options.async_rounds every round
+  /// launches up front on the async_period cadence and closes at its
+  /// round_start + t_sync while later rounds keep running.
   RunSummary run(int rounds, const ml::Dataset* eval = nullptr);
 
   [[nodiscard]] const DeploymentConfig& config() const { return config_; }
@@ -157,8 +158,8 @@ class Deployment {
   /// The conservative window width of the current round, ns (0 at K = 1).
   [[nodiscard]] sim::TimeNs lookahead() const { return lookahead_; }
 
-  /// The decoded average gradient assembled by the directory's view after
-  /// run_round (empty if any partition's update is missing).
+  /// The decoded average gradient assembled by the directory's view of the
+  /// last closed round (empty if any partition's update is missing).
   [[nodiscard]] const std::vector<double>& last_global_update() const {
     return last_global_update_;
   }
@@ -171,8 +172,8 @@ class Deployment {
   void enable_metrics_sampling(obs::TimeSeriesWriter& writer, sim::TimeNs period);
 
   /// In-engine SLO evaluator (null unless the scenario has [slo] clauses).
-  /// run_round / the async driver evaluate round-scoped clauses per round
-  /// into RoundMetrics::slo_breaches.
+  /// The round driver evaluates round-scoped clauses per round into
+  /// RoundMetrics::slo_breaches.
   [[nodiscard]] SloEvaluator* slo() { return slo_.get(); }
   /// Evaluates the end-of-run [slo] clauses (completion-rate mean,
   /// rounds_complete_min, crashes_min). Call once after the last round;
@@ -180,16 +181,31 @@ class Deployment {
   std::vector<SloBreach> finalize_slos();
 
  private:
+  /// Rounds launched together: one sync round, or every round of an async
+  /// run.
+  struct Flight;
+
+  /// The round driver: launch `count` rounds from `first`, drive each to
+  /// its boundary (quiescence for sync, round_start + t_sync for async),
+  /// close it there, then report the flight once its tail has drained.
+  void run_flight(std::uint32_t first, std::uint32_t count, bool async,
+                  const ml::Dataset* eval, RunSummary& summary);
+  /// Sets each round's RoundMetrics, spawns its actors at round_start, and
+  /// arms chaos and provider republish through the last round's t_sync.
+  void launch(Flight& f, std::uint32_t first, std::uint32_t count);
+  /// At a round's boundary: charges its stat deltas, collects and applies
+  /// its global update, evaluates, and garbage-collects the directory.
+  void close(Flight& f, RoundMetrics& m, const ml::Dataset* eval, RunSummary& summary);
+  /// After the flight's tail: round_done, critical paths, SLO verdicts and
+  /// the registry publish, in round order.
+  void report(Flight& f, RunSummary& summary);
+  /// Charges `m` with the stat deltas since the flight's previous boundary.
+  void charge(Flight& f, RoundMetrics& m);
   /// Returns the number of partitions whose global update was assembled.
   std::size_t collect_global_update(std::uint32_t iter);
   /// Re-derives the conservative window width from the network's
   /// cross-shard latency floor plus the fault plan's jitter floor.
   [[nodiscard]] sim::TimeNs derive_lookahead() const;
-  /// Barrier-free driver (options.async_rounds): spawns every round's
-  /// actors up front on a fixed launch cadence, then drives the engine in
-  /// round-deadline segments — each boundary collects and applies that
-  /// round's global update while later rounds keep training/uploading.
-  RunSummary run_async(int rounds, const ml::Dataset* eval);
   /// Advances the engine to time `end` (serial run_before at K = 1;
   /// sequenced lookahead windows at K > 1 — the windows only partition the
   /// same total event order, so results are bit-identical at any K).
@@ -198,9 +214,6 @@ class Deployment {
   /// advance(), interleaving metrics samples at period boundaries when
   /// sampling is enabled (samples only read state, never schedule events).
   void drive_until(sim::TimeNs end, ShardingRecord& rec);
-  /// Fills m.critical_path from a fresh trace analysis (tracing runs only).
-  void attach_critical_path(RoundMetrics& m);
-  static void fill_critical_path(RoundMetrics& m, const obs::RoundCriticalPath& rcp);
 
   DeploymentConfig config_;
   std::unique_ptr<sim::Simulator> sim_;

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/runner.hpp"
+#include "obs/metrics.hpp"
 
 namespace dfl::core {
 namespace {
@@ -91,6 +92,44 @@ TEST(AsyncRounds, ShardedRunIsBitIdenticalToSerial) {
   std::uint64_t windows = 0;
   for (const RoundMetrics& m : sh.rounds) windows += m.sharding.windows;
   EXPECT_GT(windows, 0u);
+}
+
+TEST(AsyncRounds, PerRoundStatsAddUpToTheRun) {
+  // Each round is charged the deltas between its boundaries (the last one
+  // through the tail), so per-round events and fault counters sum to the
+  // run's totals instead of an even split with the faults on round 0.
+  auto cfg = tiny_async();
+  cfg.fault_plan.latency_jitter_ms =
+      sim::Distribution{sim::Distribution::Kind::kExponential, 2.0, 0.0};
+  cfg.fault_plan.latency_jitter_prob = 0.5;
+  cfg.fault_plan.crashes.push_back(
+      sim::CrashWindow{1, sim::from_millis(4500), sim::from_millis(4600)});
+  Deployment d(cfg);
+  obs::Counter& events_total = obs::Registry::global().counter("dfl.sim.events_total");
+  const std::uint64_t registry_before = events_total.value();
+  const std::uint64_t events_before = d.simulator().events_processed();
+  const RunSummary s = d.run(3);
+  const std::uint64_t events = d.simulator().events_processed() - events_before;
+
+  std::uint64_t summed_events = 0;
+  sim::FaultStats summed_faults;
+  for (const RoundMetrics& m : s.rounds) {
+    summed_events += m.datapath.sim_events;
+    summed_faults.crashes += m.faults.crashes;
+    summed_faults.restarts += m.faults.restarts;
+    summed_faults.transfers_dropped += m.faults.transfers_dropped;
+    summed_faults.payloads_corrupted += m.faults.payloads_corrupted;
+    summed_faults.transfers_jittered += m.faults.transfers_jittered;
+  }
+  EXPECT_EQ(summed_events, events);
+  EXPECT_EQ(events_total.value() - registry_before, events);
+  ASSERT_NE(d.fault_injector(), nullptr);
+  EXPECT_EQ(summed_faults, d.fault_injector()->stats());
+  // Rounds close at 4 s, 6 s and 8 s: the 4.5 s crash lands on round 1,
+  // and so do round 2's jittered uploads.
+  EXPECT_EQ(s.rounds[1].faults.crashes, 1u);
+  EXPECT_GT(s.rounds[1].faults.transfers_jittered, 0u);
+  for (const RoundMetrics& m : s.rounds) EXPECT_GT(m.datapath.sim_events, 0u);
 }
 
 TEST(AsyncRounds, StragglerFoldsInStaleAtReducedWeight) {

@@ -1,9 +1,12 @@
 // Deployment-level tests: the multi-round run() API, ML integration with
-// accuracy tracking, deterministic replays, and directory garbage
-// collection between rounds.
+// accuracy tracking, deterministic replays, directory garbage collection
+// between rounds, and run() against a run_round loop.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/runner.hpp"
 #include "ml/federated.hpp"
@@ -20,6 +23,70 @@ DeploymentConfig tiny() {
   cfg.train_time = sim::from_millis(100);
   cfg.schedule = Schedule{sim::from_seconds(20), sim::from_seconds(40), sim::from_millis(50)};
   return cfg;
+}
+
+bool has_gradient_rows(Deployment& d, std::uint32_t iter) {
+  return !d.directory().rows(0, iter, directory::EntryType::kGradient).empty();
+}
+
+std::uint64_t fingerprint(const std::vector<double>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double x : v) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &x, sizeof(double));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// Directory rows per (partition, iteration, entry type), iterations < iters.
+std::vector<std::size_t> row_counts(Deployment& d, std::uint32_t iters) {
+  std::vector<std::size_t> counts;
+  for (std::uint32_t p = 0; p < d.config().num_partitions; ++p) {
+    for (std::uint32_t it = 0; it < iters; ++it) {
+      for (const auto type : {directory::EntryType::kGradient, directory::EntryType::kPartialUpdate,
+                              directory::EntryType::kGlobalUpdate}) {
+        counts.push_back(d.directory().rows(p, it, type).size());
+      }
+    }
+  }
+  return counts;
+}
+
+/// Every simulated field of two records of the same round.
+void expect_same_round(const RoundMetrics& a, const RoundMetrics& b) {
+  EXPECT_EQ(a.iter, b.iter);
+  EXPECT_EQ(a.round_start, b.round_start);
+  EXPECT_EQ(a.first_gradient_announce, b.first_gradient_announce);
+  EXPECT_EQ(a.round_done, b.round_done);
+  EXPECT_EQ(a.rejected_updates, b.rejected_updates);
+  EXPECT_EQ(a.partitions_complete, b.partitions_complete);
+  EXPECT_EQ(a.partitions_total, b.partitions_total);
+  EXPECT_EQ(a.global_update_complete, b.global_update_complete);
+  EXPECT_EQ(a.datapath.sim_events, b.datapath.sim_events);
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.sharding.shards, b.sharding.shards);
+  EXPECT_EQ(a.sharding.windows, b.sharding.windows);
+  EXPECT_EQ(a.sharding.cross_shard_transfers, b.sharding.cross_shard_transfers);
+  EXPECT_EQ(a.sharding.local_shard_transfers, b.sharding.local_shard_transfers);
+  EXPECT_EQ(a.codec.encoded_bytes, b.codec.encoded_bytes);
+  EXPECT_EQ(a.rpc_totals().attempts, b.rpc_totals().attempts);
+  ASSERT_EQ(a.trainers.size(), b.trainers.size());
+  for (std::size_t i = 0; i < a.trainers.size(); ++i) {
+    EXPECT_EQ(a.trainers[i].model_ready_at, b.trainers[i].model_ready_at) << "trainer " << i;
+    EXPECT_EQ(a.trainers[i].upload_delay_total_s, b.trainers[i].upload_delay_total_s);
+    EXPECT_EQ(a.trainers[i].uploads, b.trainers[i].uploads);
+  }
+  ASSERT_EQ(a.aggregators.size(), b.aggregators.size());
+  for (std::size_t i = 0; i < a.aggregators.size(); ++i) {
+    EXPECT_EQ(a.aggregators[i].global_written_at, b.aggregators[i].global_written_at)
+        << "aggregator " << i;
+    EXPECT_EQ(a.aggregators[i].bytes_received, b.aggregators[i].bytes_received);
+    EXPECT_EQ(a.aggregators[i].gradients_aggregated, b.aggregators[i].gradients_aggregated);
+  }
 }
 
 TEST(Runner, MultiRoundRunCollectsMetrics) {
@@ -73,11 +140,62 @@ TEST(Runner, MlRunTracksAccuracyAndImproves) {
 }
 
 TEST(Runner, DirectoryGcBoundsState) {
-  Deployment d(tiny());
-  (void)d.run(3);
-  // run() garbage-collects everything before the latest round.
-  EXPECT_TRUE(d.directory().rows(0, 0, directory::EntryType::kGradient).empty());
-  EXPECT_FALSE(d.directory().rows(0, 2, directory::EntryType::kGradient).empty());
+  // Closing a sync round garbage-collects every iteration before it, in
+  // run() and in a run_round loop alike.
+  Deployment whole(tiny());
+  (void)whole.run(3);
+  Deployment loop(tiny());
+  for (std::uint32_t r = 0; r < 3; ++r) (void)loop.run_round(r);
+  for (Deployment* d : {&whole, &loop}) {
+    EXPECT_FALSE(has_gradient_rows(*d, 0));
+    EXPECT_FALSE(has_gradient_rows(*d, 1));
+    EXPECT_TRUE(has_gradient_rows(*d, 2));
+  }
+
+  // Closing async round r keeps iteration r - kStaleDepth, which later
+  // rounds' staleness covers still read, and drops the older ones.
+  auto cfg = tiny();
+  cfg.options.async_rounds = true;
+  Deployment async(cfg);
+  const std::uint32_t rounds = kStaleDepth + 2;
+  (void)async.run(static_cast<int>(rounds));
+  const std::uint32_t kept = rounds - 1 - kStaleDepth;
+  for (std::uint32_t it = 0; it < rounds; ++it) {
+    EXPECT_EQ(has_gradient_rows(async, it), it >= kept) << "iteration " << it;
+  }
+}
+
+TEST(Runner, RunMatchesRunRoundLoop) {
+  // run(n) and n calls of run_round drive the same rounds through the same
+  // launch and close steps: equal aggregates, equal simulated metrics, and
+  // equal directory state after every round.
+  constexpr std::uint32_t kRounds = 3;
+  for (const std::uint64_t seed : {1ull, 7ull, 1234ull}) {
+    for (const std::uint32_t shards : {1u, 2u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", K " + std::to_string(shards));
+      auto cfg = tiny();
+      cfg.seed = seed;
+      cfg.shards = shards;
+      Deployment whole(cfg);
+      const RunSummary s = whole.run(static_cast<int>(kRounds));
+      ASSERT_EQ(s.rounds.size(), kRounds);
+      ASSERT_EQ(s.updates.size(), kRounds);
+      EXPECT_EQ(fingerprint(whole.last_global_update()), fingerprint(s.updates.back()));
+
+      Deployment loop(cfg);
+      for (std::uint32_t r = 0; r < kRounds; ++r) {
+        SCOPED_TRACE("round " + std::to_string(r));
+        const RoundMetrics m = loop.run_round(r);
+        expect_same_round(s.rounds[r], m);
+        EXPECT_FALSE(s.updates[r].empty());
+        EXPECT_EQ(fingerprint(s.updates[r]), fingerprint(loop.last_global_update()));
+        // The directory as run() leaves it after its round r.
+        Deployment prefix(cfg);
+        (void)prefix.run(static_cast<int>(r + 1));
+        EXPECT_EQ(row_counts(prefix, kRounds), row_counts(loop, kRounds));
+      }
+    }
+  }
 }
 
 TEST(Runner, AccessorsExposeTopology) {
